@@ -53,7 +53,11 @@ proptest! {
         let n = if big { 7 } else { 4 };
         let mut sim = honest_sim(n, seed, 16, max_delay);
         let report = sim.run_audited();
-        prop_assert!(report.audited(), "tests build with debug assertions");
+        // Release builds skip the audit (`run_audited` reports it
+        // skipped), so only a debug build can insist that it ran.
+        if cfg!(debug_assertions) {
+            prop_assert!(report.audited(), "debug builds run the audit");
+        }
         report.assert_clean();
     }
 

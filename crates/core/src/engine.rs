@@ -31,7 +31,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use bytes::Bytes;
-use dagrider_crypto::{sha256, Coin, CoinKeys, CoinShare, Digest};
+use dagrider_crypto::{Coin, CoinKeys, CoinShare, Digest, Sha256};
 use dagrider_rbc::{RbcAction, ReliableBroadcast};
 use dagrider_trace::{SharedTracer, TraceEvent, TraceRecord};
 use dagrider_types::{
@@ -47,8 +47,25 @@ use crate::ordering::{CommitEvent, Delivery, OrderedVertex, Ordering};
 /// The content address of a batch: SHA-256 over its encoded bytes. Wire
 /// types live in `dagrider-types` (which cannot depend on the crypto
 /// crate), so the digest function lives here, next to its main consumer.
+///
+/// The encoding is streamed into the hasher piece by piece — header,
+/// transaction count, then each length prefix and payload — so the
+/// payload bytes are hashed where they lie instead of being copied into
+/// a `batch.to_bytes()` buffer first. The digest is the same.
 pub fn batch_digest(batch: &Batch) -> BatchDigest {
-    BatchDigest::new(*sha256(batch.to_bytes()).as_bytes())
+    let mut hasher = Sha256::new();
+    let mut prefix = Vec::with_capacity(32);
+    batch.creator().encode(&mut prefix);
+    batch.worker().encode(&mut prefix);
+    (batch.len() as u64).encode(&mut prefix);
+    hasher.update(&prefix);
+    for tx in batch.transactions() {
+        prefix.clear();
+        (tx.len() as u64).encode(&mut prefix);
+        hasher.update(&prefix);
+        hasher.update(tx.payload());
+    }
+    BatchDigest::new(*hasher.finalize().as_bytes())
 }
 
 /// Timer tag reserved for the missing-batch fetch retry loop.
@@ -1473,5 +1490,69 @@ mod tests {
         let common = rebuilt.len().min(reference_refs.len());
         assert!(common > 0, "sync rebuilt nothing");
         assert_eq!(&rebuilt[..common], &reference_refs[..common]);
+    }
+
+    #[test]
+    fn ordered_transactions_share_the_stored_batch_allocation() {
+        // A batch stored at every engine and ordered by digest comes out
+        // of the log as the very bytes that were stored: resolving it and
+        // logging it must move handles, never copy payload.
+        let committee = Committee::new(4).unwrap();
+        let mut rng = StdRng::seed_from_u64(13);
+        let keys = deal_coin_keys(&committee, &mut rng);
+        let config = NodeConfig::default().with_max_round(12);
+        let mut engines: Vec<DagRiderEngine<BrachaRbc>> = committee
+            .members()
+            .zip(keys)
+            .map(|(p, k)| DagRiderEngine::new(committee, p, k, config.clone()))
+            .collect();
+        let tx = Transaction::synthetic(11, 4096);
+        let batch = Batch::new(ProcessId::new(1), 0, vec![tx.clone()]);
+        for engine in &mut engines {
+            engine.store_batch(batch.clone());
+        }
+        engines[1].enqueue_digests(vec![batch_digest(&batch)]);
+        let mut rngs: Vec<StdRng> = (0..4).map(|i| StdRng::seed_from_u64(40 + i)).collect();
+        let mut wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)> = VecDeque::new();
+        let mut emitted: Vec<Transaction> = Vec::new();
+        let mut route = |from: ProcessId, outs: Vec<EngineOutput>, wire: &mut VecDeque<_>| {
+            for out in outs {
+                match out {
+                    EngineOutput::Send { to, payload } => {
+                        wire.push_back((from, to, payload.to_vec()));
+                    }
+                    EngineOutput::Broadcast { payload } => {
+                        for to in committee.others(from) {
+                            wire.push_back((from, to, payload.to_vec()));
+                        }
+                    }
+                    EngineOutput::Ordered(o) => emitted.extend_from_slice(o.block.transactions()),
+                    EngineOutput::SetTimer { .. } | EngineOutput::FetchBatches { .. } => {}
+                }
+            }
+        };
+        for p in committee.members() {
+            let outs = engines[p.as_usize()].start(Time::ZERO, &mut rngs[p.as_usize()]);
+            route(p, outs, &mut wire);
+        }
+        let mut t = 0u64;
+        while let Some((from, to, payload)) = wire.pop_front() {
+            t += 1;
+            let input = EngineInput::Message { from, payload };
+            let outs = engines[to.as_usize()].handle(Time::new(t), input, &mut rngs[to.as_usize()]);
+            route(to, outs, &mut wire);
+        }
+        assert_eq!(emitted.len(), 4, "every engine emits the batch's transaction once");
+        for out in &emitted {
+            assert_eq!(out.payload().as_ptr(), tx.payload().as_ptr(), "emitted output copied");
+        }
+        for engine in &engines {
+            let logged: Vec<&Transaction> =
+                engine.ordered().iter().flat_map(|o| o.block.transactions()).collect();
+            assert_eq!(logged.len(), 1, "{} did not order the batch", engine.me());
+            assert_eq!(logged[0].payload().as_ptr(), tx.payload().as_ptr(), "ordered log copied");
+            let stored = engine.stored_batches();
+            assert_eq!(stored[0].transactions()[0].payload().as_ptr(), tx.payload().as_ptr());
+        }
     }
 }

@@ -31,6 +31,8 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Duration;
 
+use dagrider_types::Transaction;
+
 use crate::reactor::ReactorCmd;
 use crate::runtime::{lock_unpoisoned, Published};
 use crate::signal::{Shutdown, Waker};
@@ -145,77 +147,171 @@ pub(crate) fn frontend_loop(
     waker: &Waker,
     stop: &Shutdown,
 ) {
-    let mut waiting: HashMap<u64, VecDeque<(u64, u64)>> = HashMap::new();
-    let mut total_waiting = 0usize;
-    let mut dead: HashSet<u64> = HashSet::new();
-    let mut cursor = 0usize;
+    let mut matcher = Matcher::default();
     loop {
         if stop.is_signalled() {
             return;
         }
         match rx.recv_timeout(FRONTEND_TICK) {
-            Ok(FrontendMsg::Admitted { client, seq, hash }) => {
-                if total_waiting < MAX_WAITING && !dead.contains(&client) {
-                    waiting.entry(hash).or_default().push_back((client, seq));
-                    total_waiting += 1;
-                }
-            }
-            Ok(FrontendMsg::ClientGone { client }) => {
-                dead.insert(client);
-                if dead.len() >= DEAD_SWEEP {
-                    for entries in waiting.values_mut() {
-                        entries.retain(|(c, _)| !dead.contains(c));
-                    }
-                    waiting.retain(|_, entries| !entries.is_empty());
-                    total_waiting = waiting.values().map(VecDeque::len).sum();
-                    dead.clear();
-                }
-            }
+            Ok(msg) => matcher.register(msg),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return,
         }
+        match matcher.pass(rx, published, reactor) {
+            Some(true) => waker.wake(),
+            Some(false) => {}
+            None => return, // reactor gone: the node is stopping
+        }
+    }
+}
 
-        // Tail the ordered log from the cursor and resolve matches.
-        let fresh = {
+/// The matcher's state: who waits on which transaction hash, and how far
+/// into the published ordered log it has looked.
+#[derive(Default)]
+struct Matcher {
+    waiting: HashMap<u64, VecDeque<(u64, u64)>>,
+    total_waiting: usize,
+    dead: HashSet<u64>,
+    cursor: usize,
+}
+
+impl Matcher {
+    /// Applies one reactor message to the waiting set.
+    fn register(&mut self, msg: FrontendMsg) {
+        match msg {
+            FrontendMsg::Admitted { client, seq, hash } => {
+                if self.total_waiting < MAX_WAITING && !self.dead.contains(&client) {
+                    self.waiting.entry(hash).or_default().push_back((client, seq));
+                    self.total_waiting += 1;
+                }
+            }
+            FrontendMsg::ClientGone { client } => {
+                self.dead.insert(client);
+                if self.dead.len() >= DEAD_SWEEP {
+                    let dead = &self.dead;
+                    for entries in self.waiting.values_mut() {
+                        entries.retain(|(c, _)| !dead.contains(c));
+                    }
+                    self.waiting.retain(|_, entries| !entries.is_empty());
+                    self.total_waiting = self.waiting.values().map(VecDeque::len).sum();
+                    self.dead.clear();
+                }
+            }
+        }
+    }
+
+    /// One matching pass over the log tail past the cursor. The tail is
+    /// taken *before* the queued registrations are drained: the reactor
+    /// sends a transaction's `Admitted` before passing the transaction on
+    /// toward consensus, so every transaction in the tail already has
+    /// its registration in the channel, and none is matched against a
+    /// stale waiting set. Returns whether any client was notified, or
+    /// `None` once the reactor is gone.
+    fn pass(
+        &mut self,
+        rx: &Receiver<FrontendMsg>,
+        published: &Published,
+        reactor: &Sender<ReactorCmd>,
+    ) -> Option<bool> {
+        let fresh: Vec<Transaction> = {
             let log = lock_unpoisoned(&published.ordered);
-            let fresh: Vec<_> = log
-                .get(cursor..)
-                .map(|tail| {
-                    tail.iter().flat_map(|v| v.block.transactions().iter().cloned()).collect()
-                })
-                .unwrap_or_default();
-            cursor = log.len();
-            fresh
+            let tail = log.get(self.cursor..).unwrap_or_default();
+            self.cursor = log.len();
+            tail.iter().flat_map(|v| v.block.transactions().iter().cloned()).collect()
         };
+        while let Ok(msg) = rx.try_recv() {
+            self.register(msg);
+        }
+        // Nobody waits (always so on a node without subscribers): the
+        // tail is consumed without hashing a byte of it.
+        if self.waiting.is_empty() {
+            return Some(false);
+        }
         let mut notified = false;
         for tx in &fresh {
-            let hash = tx_hash(tx.as_ref());
-            let Some(entries) = waiting.get_mut(&hash) else { continue };
+            let hash = tx_hash(tx.payload());
+            let Some(entries) = self.waiting.get_mut(&hash) else { continue };
             while let Some((client, seq)) = entries.pop_front() {
-                total_waiting -= 1;
-                if dead.contains(&client) {
+                self.total_waiting -= 1;
+                if self.dead.contains(&client) {
                     continue; // tombstoned: fall through to the next waiter
                 }
                 let msg = WireMsg::ClientOrdered { seq };
-                if reactor.send(ReactorCmd::ClientSend { client, msg }).is_err() {
-                    return; // reactor gone: the node is stopping
-                }
+                reactor.send(ReactorCmd::ClientSend { client, msg }).ok()?;
                 notified = true;
                 break; // one notification per ordered transaction
             }
             if entries.is_empty() {
-                waiting.remove(&hash);
+                self.waiting.remove(&hash);
             }
         }
-        if notified {
-            waker.wake();
-        }
+        Some(notified)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use dagrider_core::OrderedVertex;
+    use dagrider_types::{Block, ProcessId, Round, SeqNum, Time, VertexRef, Wave};
+
     use super::*;
+    use crate::sync::mpsc;
+
+    /// Appends one ordered vertex carrying `txs` to the published log.
+    fn publish(published: &Published, txs: Vec<Transaction>) {
+        let source = ProcessId::new(0);
+        lock_unpoisoned(&published.ordered).push(OrderedVertex {
+            vertex: VertexRef::new(Round::new(1), source),
+            block: Block::new(source, SeqNum::new(1), txs),
+            committed_in_wave: Wave::new(1),
+            delivered_at: Time::ZERO,
+        });
+    }
+
+    /// The `(client, seq)` of every notification the matcher sent.
+    fn notifications(cmds: &Receiver<ReactorCmd>) -> Vec<(u64, u64)> {
+        let mut sent = Vec::new();
+        while let Ok(cmd) = cmds.try_recv() {
+            if let ReactorCmd::ClientSend { client, msg: WireMsg::ClientOrdered { seq } } = cmd {
+                sent.push((client, seq));
+            }
+        }
+        sent
+    }
+
+    #[test]
+    fn registrations_queued_behind_an_ordered_transaction_still_match() {
+        // The transaction is already in the log when the matcher runs,
+        // and its registration sits behind another one in the channel: a
+        // pass that registers one message and then consumes the tail
+        // would skip it for good.
+        let published = Published::default();
+        let tx = Transaction::synthetic(1, 64);
+        publish(&published, vec![tx.clone()]);
+        let (frontend, rx) = mpsc::channel();
+        let pending = tx_hash(Transaction::synthetic(2, 64).payload());
+        frontend.send(FrontendMsg::Admitted { client: 7, seq: 1, hash: pending }).unwrap();
+        frontend
+            .send(FrontendMsg::Admitted { client: 7, seq: 2, hash: tx_hash(tx.payload()) })
+            .unwrap();
+        let (reactor, cmds) = mpsc::channel();
+        let mut matcher = Matcher::default();
+        assert_eq!(matcher.pass(&rx, &published, &reactor), Some(true));
+        assert_eq!(notifications(&cmds), vec![(7, 2)]);
+        assert_eq!(matcher.total_waiting, 1, "the unordered registration still waits");
+    }
+
+    #[test]
+    fn a_pass_with_nobody_waiting_consumes_the_tail() {
+        let published = Published::default();
+        publish(&published, vec![Transaction::synthetic(3, 16), Transaction::synthetic(4, 16)]);
+        let (_frontend, rx) = mpsc::channel();
+        let (reactor, cmds) = mpsc::channel();
+        let mut matcher = Matcher::default();
+        assert_eq!(matcher.pass(&rx, &published, &reactor), Some(false));
+        assert_eq!(matcher.cursor, 1);
+        assert!(notifications(&cmds).is_empty());
+    }
 
     #[test]
     fn fnv_hash_is_stable_and_content_sensitive() {

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use bytes::Bytes;
+
 use crate::codec::{Decode, DecodeError, Encode};
 use crate::{ProcessId, SeqNum};
 
@@ -10,13 +12,19 @@ use crate::{ProcessId, SeqNum};
 /// The protocol never inspects transaction contents (§3: validation belongs
 /// to the execution engine above BAB); it only moves bytes. The payload size
 /// is what the communication-complexity experiments meter.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Transaction(Vec<u8>);
+///
+/// The payload is shared, not owned: `Clone` is a reference-count bump,
+/// so the batch store, the engine's batch map, the ordered log and every
+/// published copy of it hold one allocation per transaction. Equality,
+/// ordering and hashing compare contents, exactly as for a `Vec<u8>`.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Transaction(Bytes);
 
 impl Transaction {
-    /// Wraps raw payload bytes as a transaction.
+    /// Wraps raw payload bytes as a transaction. A `Vec<u8>` is adopted
+    /// without copying.
     pub fn new(payload: impl Into<Vec<u8>>) -> Self {
-        Self(payload.into())
+        Self(Bytes::from(payload.into()))
     }
 
     /// A deterministic synthetic transaction of `size` bytes, used by the
@@ -31,7 +39,7 @@ impl Transaction {
             state ^= state << 17;
             payload.push((state & 0xff) as u8);
         }
-        Self(payload)
+        Self::new(payload)
     }
 
     /// The payload bytes.
@@ -50,6 +58,12 @@ impl Transaction {
     }
 }
 
+impl fmt::Debug for Transaction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Transaction").field(&self.payload()).finish()
+    }
+}
+
 impl fmt::Display for Transaction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "tx({} bytes)", self.0.len())
@@ -58,7 +72,7 @@ impl fmt::Display for Transaction {
 
 impl From<Vec<u8>> for Transaction {
     fn from(payload: Vec<u8>) -> Self {
-        Self(payload)
+        Self::new(payload)
     }
 }
 
@@ -80,7 +94,7 @@ impl Encode for Transaction {
 
 impl Decode for Transaction {
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Self(crate::codec::decode_bytes(buf)?))
+        Ok(Self::new(crate::codec::decode_bytes(buf)?))
     }
 }
 
@@ -188,6 +202,21 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 64);
+    }
+
+    #[test]
+    fn clones_share_the_payload_allocation() {
+        let a = Transaction::synthetic(3, 4096);
+        let b = a.clone();
+        assert_eq!(a.payload().as_ptr(), b.payload().as_ptr());
+        let v = vec![7u8; 64];
+        let ptr = v.as_ptr();
+        assert_eq!(Transaction::from(v).payload().as_ptr(), ptr, "a Vec is adopted, not copied");
+    }
+
+    #[test]
+    fn debug_shows_the_payload_bytes() {
+        assert_eq!(format!("{:?}", Transaction::new(vec![1, 2])), "Transaction([1, 2])");
     }
 
     #[test]
